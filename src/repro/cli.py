@@ -45,9 +45,9 @@ completed and matched its expectation, 1 otherwise.
 
 ``serve`` starts the long-lived verification server (:mod:`repro.server`):
 an asyncio daemon speaking newline-delimited JSON over TCP and/or a unix
-socket, holding warm verifier sessions, a shared compiled-artifact store and
-the verdict cache across requests, with cross-request dedup of identical
-in-flight jobs and graceful ``SIGTERM`` draining.  ``check --server`` and
+socket, holding the Presburger operation cache, a shared compiled-artifact
+store and the verdict cache warm across requests, with cross-request dedup
+of identical in-flight jobs and graceful ``SIGTERM`` draining.  ``check --server`` and
 ``batch --server`` send their jobs to such a daemon instead of checking
 in-process — verdicts, output and exit codes are identical, only the
 execution moves; see ``docs/server.md``.
@@ -337,7 +337,7 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="verifier worker threads; each holds one warm session (default: 1)",
+        help="verifier worker threads over the shared warm state (default: 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -381,13 +381,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         default=512,
         metavar="N",
         help="shared compiled-artifact store capacity (default: 512)",
-    )
-    parser.add_argument(
-        "--session-entries",
-        type=int,
-        default=64,
-        metavar="N",
-        help="per-session compiled-program cache capacity (default: 64)",
     )
     parser.add_argument(
         "--backend",
@@ -620,10 +613,10 @@ def build_cli_parser() -> argparse.ArgumentParser:
     _add_fuzz_arguments(fuzz)
     serve = subparsers.add_parser(
         "serve",
-        help="run the long-lived verification server (warm sessions, shared "
-        "caches, request dedup)",
+        help="run the long-lived verification server (warm shared caches, "
+        "request dedup)",
         description=(
-            "A JSON-over-TCP/unix-socket daemon that keeps verifier sessions, "
+            "A JSON-over-TCP/unix-socket daemon that keeps the operation cache, "
             "compiled artifacts and the verdict cache warm across requests, "
             "coalesces identical in-flight jobs, and drains gracefully on "
             "SIGTERM.  Point `check --server` / `batch --server` at it."
@@ -1250,7 +1243,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         compiled_entries=args.compiled_entries,
-        session_entries=args.session_entries,
         default_timeout=args.timeout,
         max_timeout=args.max_timeout,
         max_inflight_per_client=args.max_inflight,

@@ -24,10 +24,7 @@ at the boundary), and the kernel operates on whole row batches at once:
   already normal forms (``normalize`` is idempotent, so the skip is
   bit-for-bit identical).
 * ``fm_combine`` — the Fourier–Motzkin lower×upper pair combination as one
-  batched product.  When numpy is importable (a feature probe — it is never
-  required) and every coefficient fits comfortably in int64, the full outer
-  product runs as three vectorised int64 operations; otherwise an optimised
-  pure-Python pairing runs.  Pair order, dark-shadow slack and exactness
+  batched pure-Python pairing.  Pair order, dark-shadow slack and exactness
   bookkeeping match the object path bit for bit.
 * ``drop_rows`` / ``substitute_drop`` — fused column elimination: apply a
   unit-coefficient substitution and remove the column in a single
@@ -74,7 +71,6 @@ __all__ = [
     "fingerprint",
     "fm_combine",
     "normalize_conjunct",
-    "numpy_available",
     "substitute_drop",
     "use",
 ]
@@ -83,21 +79,6 @@ __all__ = [
 #: changes; folded into the persistent-cache fingerprint so stale on-disk
 #: results can never leak across kernel revisions.
 KERNEL_VERSION = 1
-
-try:  # feature probe — numpy accelerates large FM batches but is optional
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-#: Minimum lower×upper pair count before the numpy FM path pays for its
-#: array round-trip.
-_NP_MIN_PAIRS = 16
-#: Coefficient magnitude bound for the int64 FM path: |b*u + a*l| is then
-#: below 2**61 and the dark-shadow slack subtraction below 2**62, so the
-#: batched arithmetic is exact.  Larger coefficients fall back to Python
-#: bignums.
-_NP_COEFF_LIMIT = 1 << 30
-
 
 def _env_mode() -> str:
     raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
@@ -112,11 +93,6 @@ FLAT = _env_mode() == "flat"
 def active_mode() -> str:
     """The current kernel mode: ``"flat"`` or ``"object"``."""
     return "flat" if FLAT else "object"
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy acceleration is importable."""
-    return _np is not None
 
 
 def configure(mode: str) -> None:
@@ -268,38 +244,6 @@ def fm_combine(
     lower-major order as the object path's nested loop.  ``dark_shadow`` is
     empty when *unit_bounds* (the slack vanishes for every pair).
     """
-    if _np is not None and len(lowers) * len(uppers) >= _NP_MIN_PAIRS:
-        limit = _NP_COEFF_LIMIT
-        if all(
-            -limit < x < limit for row in lowers for x in row
-        ) and all(-limit < x < limit for row in uppers for x in row):
-            return _fm_combine_np(lowers, uppers, col, unit_bounds)
-    return _fm_combine_py(lowers, uppers, col, unit_bounds)
-
-
-def _fm_combine_np(lowers, uppers, col, unit_bounds):
-    lower_mat = _np.array(lowers, dtype=_np.int64)
-    upper_mat = _np.array(uppers, dtype=_np.int64)
-    b = lower_mat[:, col]  # positive lower-bound coefficients
-    a = -upper_mat[:, col]  # positive upper-bound coefficients
-    # resultant[i, j, :] = b_i * upper_j + a_j * lower_i
-    res = (
-        b[:, None, None] * upper_mat[None, :, :]
-        + a[None, :, None] * lower_mat[:, None, :]
-    )
-    rows = res.reshape(-1, lower_mat.shape[1])
-    real = [tuple(map(int, row)) for row in rows]
-    if unit_bounds:
-        return real, [], True
-    slack = ((b[:, None] - 1) * (a[None, :] - 1)).reshape(-1)
-    all_exact = not bool(slack.any())
-    dark_rows = rows.copy()
-    dark_rows[:, -1] -= slack
-    dark = [tuple(map(int, row)) for row in dark_rows]
-    return real, dark, all_exact
-
-
-def _fm_combine_py(lowers, uppers, col, unit_bounds):
     real: List[Vector] = []
     dark: List[Vector] = []
     all_exact = True

@@ -60,6 +60,7 @@ Public knobs
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -89,6 +90,7 @@ __all__ = [
 
 DEFAULT_SIZE = 8192
 _INTERN_POOL_SIZE = 16384
+_MISSING = object()
 
 
 def _env_size() -> int:
@@ -242,6 +244,8 @@ class OpCache:
         # Optional disk-backed second tier (repro.presburger.persist); None
         # means memory-only.
         self._persist = None
+        # Guards _entries and stats across threads (see memoized()).
+        self._lock = threading.Lock()
 
     # ---------------------------- memoization --------------------------- #
     def memoized(self, op: str, key: Hashable, compute: Callable[[], Any]) -> Any:
@@ -251,37 +255,47 @@ class OpCache:
         *compute* (the wrappers in :mod:`repro.presburger.setmap` and
         :mod:`repro.presburger.closure` build keys from interned conjunct
         tuples plus the dimension names that appear in the result).
+
+        Safe to call from many threads: the LRU bookkeeping and the counters
+        are updated under one lock, which is never held across *compute* or
+        the persistent tier's I/O (two threads missing on the same key may
+        both compute it; the results are equal).  The lock is only ever
+        taken by ``with``, so a job timeout raised into the thread at any
+        bytecode boundary still releases it.
         """
         if not self.enabled:
             return compute()
         full_key = (op, key)
-        entries = self._entries
-        if full_key in entries:
-            entries.move_to_end(full_key)
-            self.stats.record(op, hit=True)
+        lock = self._lock
+        with lock:
+            found = self._entries.get(full_key, _MISSING)
+            if found is not _MISSING:
+                self._entries.move_to_end(full_key)
+                self.stats.record(op, hit=True)
+        if found is not _MISSING:
             if _METRICS.enabled:
                 _METRICS.inc("opcache.hits")
-            return entries[full_key]
+            return found
         store = self._persist
         if store is not None:
             found = store.load(op, key)
             if found is not store.MISS:
                 # A disk hit is still a cache hit for the caller; promote it
                 # into the memory tier so repeats stay identity-fast.
-                self.stats.record(op, hit=True)
-                self.stats.disk_hits += 1
+                with lock:
+                    self.stats.record(op, hit=True)
+                    self.stats.disk_hits += 1
+                    self._store(full_key, found)
                 if _METRICS.enabled:
                     _METRICS.inc("opcache.hits")
                     _METRICS.inc("opcache.disk_hits")
-                entries[full_key] = found
-                if len(entries) > self.maxsize:
-                    entries.popitem(last=False)
-                    self.stats.evictions += 1
                 return found
-            self.stats.disk_misses += 1
-            if store.errors:
-                self.stats.disk_errors = store.errors
-        self.stats.record(op, hit=False)
+        with lock:
+            if store is not None:
+                self.stats.disk_misses += 1
+                if store.errors:
+                    self.stats.disk_errors = store.errors
+            self.stats.record(op, hit=False)
         if _METRICS.enabled:
             _METRICS.inc("opcache.misses")
         if _TRACER.enabled:
@@ -289,18 +303,25 @@ class OpCache:
                 result = compute()
         else:
             result = compute()
-        if store is not None:
-            if store.save(op, key, result):
+        saved = store is not None and store.save(op, key, result)
+        with lock:
+            if saved:
                 self.stats.disk_writes += 1
-                if _METRICS.enabled:
-                    _METRICS.inc("opcache.disk_writes")
-            elif store.errors:
+            elif store is not None and store.errors:
                 self.stats.disk_errors = store.errors
-        entries[full_key] = result
-        if len(entries) > self.maxsize:
+            self._store(full_key, result)
+        if saved and _METRICS.enabled:
+            _METRICS.inc("opcache.disk_writes")
+        return result
+
+    def _store(self, full_key: Hashable, value: Any) -> None:
+        """Insert *value* as most recent and evict down to ``maxsize`` (lock held)."""
+        entries = self._entries
+        entries[full_key] = value
+        entries.move_to_end(full_key)
+        while len(entries) > self.maxsize:
             entries.popitem(last=False)
             self.stats.evictions += 1
-        return result
 
     # ----------------------------- interning ---------------------------- #
     def intern_conjunct(self, conjunct):
@@ -333,13 +354,23 @@ class OpCache:
 
     def clear(self) -> None:
         """Drop every memoized result and intern-pool entry (counters survive)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
         self._conjuncts.clear()
         self._exprs.clear()
         self._vectors.clear()
 
 
 _CACHE = OpCache(maxsize=_env_size(), enabled=not _env_disabled())
+
+
+def _reset_lock_after_fork() -> None:
+    # A forked child has only the forking thread: a lock another thread held
+    # at the fork would never be released there.
+    _CACHE._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_after_fork)
 
 
 def cache() -> OpCache:
@@ -423,10 +454,11 @@ def configure(maxsize: int | None = None, enabled: bool | None = None) -> OpCach
     if maxsize is not None:
         if maxsize <= 0:
             raise ValueError("opcache maxsize must be positive")
-        _CACHE.maxsize = maxsize
-        while len(_CACHE._entries) > maxsize:
-            _CACHE._entries.popitem(last=False)
-            _CACHE.stats.evictions += 1
+        with _CACHE._lock:
+            _CACHE.maxsize = maxsize
+            while len(_CACHE._entries) > maxsize:
+                _CACHE._entries.popitem(last=False)
+                _CACHE.stats.evictions += 1
     if enabled is not None:
         _CACHE.enabled = bool(enabled)
     return _CACHE

@@ -8,10 +8,10 @@ keeps one process alive and shares everything that is expensive to build:
     The newline-delimited JSON frame format (requests, responses,
     structured error codes) spoken over TCP or a unix socket.
 ``pool``
-    The warm core — :class:`~repro.server.pool.WarmVerifierPool` holds
-    thread-local long-lived :class:`~repro.verifier.session.Verifier`
-    sessions, a shared compiled-artifact store keyed by source fingerprint,
-    and the content-addressed verdict cache; the asyncio-side
+    The warm core — :class:`~repro.server.pool.WarmVerifierPool` holds a
+    shared compiled-artifact store keyed by source fingerprint and the
+    content-addressed verdict cache, and runs jobs through the rules of
+    :mod:`repro.service.executor`; the asyncio-side
     :class:`~repro.server.pool.JobDispatcher` coalesces concurrent
     identical requests onto one in-flight leader.
 ``daemon``

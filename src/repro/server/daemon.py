@@ -73,7 +73,6 @@ class ServerConfig:
     cache_memory_entries: int = 4096
     no_cache: bool = False
     compiled_entries: int = 512
-    session_entries: int = 64
     default_timeout: Optional[float] = None
     max_timeout: Optional[float] = None
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
@@ -121,7 +120,6 @@ class VerificationServer:
             workers=self.config.workers,
             cache=self.config.build_cache(),
             compiled_entries=self.config.compiled_entries,
-            session_entries=self.config.session_entries,
             default_timeout=self.config.default_timeout,
             backend=self.config.backend,
             smt_solver=self.config.smt_solver,

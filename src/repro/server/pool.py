@@ -1,4 +1,4 @@
-"""The daemon's warm state: compiled artifacts, sessions, verdict cache, dedup.
+"""The daemon's warm state: compiled artifacts, verdict cache, dedup.
 
 This module is why the server exists at all.  A cold ``repro-eqcheck check``
 pays parse + def-use + ADDG extraction for both programs, an empty Presburger
@@ -10,23 +10,21 @@ amortises all of it across the daemon's lifetime:
   SHA-256 of the raw source text, so a program seen by *any* request is
   parsed and extracted exactly once no matter which worker thread checks it;
 * :class:`WarmVerifierPool` — a small ``ThreadPoolExecutor`` whose threads
-  each own one long-lived (bounded) :class:`~repro.verifier.session.Verifier`
-  session; all threads share the interpreter-wide Presburger operation cache
+  check compiled programs through one shared
+  :class:`~repro.verifier.session.Verifier`; all threads share the
+  interpreter-wide Presburger operation cache
   (:mod:`repro.presburger.opcache`), the compiled store and the
   content-addressed verdict cache (:class:`~repro.service.cache.ResultCache`);
 * :class:`JobDispatcher` — the asyncio front that coalesces concurrent
-  identical requests: the first request for a ``(job fingerprint, effective
-  timeout)`` key becomes the *leader* and actually executes; every duplicate
-  that arrives while the leader is in flight awaits the same task and fans
-  the verdict out at zero cost.  The key deliberately includes the timeout
-  budget (the same rule :class:`~repro.service.executor.BatchExecutor`
-  applies in-batch): a TIMEOUT outcome is budget-dependent, so a leader's
-  timeout must never be fanned out to a duplicate running under a different
-  budget.
+  identical requests: the first request for a
+  :func:`~repro.service.executor.dedup_key` becomes the *leader* and
+  actually executes; every duplicate that arrives while the leader is in
+  flight awaits the same task and fans the verdict out at zero cost.
 
-Timeouts inside the pool go through the signal-free path of
-:func:`repro.service.executor.call_with_timeout` — the worker threads are
-never the main thread, so ``SIGALRM`` is not available there by construction.
+How a job is run — the budget precedence, the verdict-cache front and
+store, the dedup key, the follower result and the timeout — is not decided
+here: the pool and the dispatcher call the rules of
+:mod:`repro.service.executor`, the same ones ``batch`` uses.
 """
 
 from __future__ import annotations
@@ -43,7 +41,14 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..presburger import opcache
 from ..service.cache import ResultCache
-from ..service.executor import execute_job
+from ..service.executor import (
+    cached_result,
+    dedup_key,
+    effective_timeout,
+    execute_job,
+    follower_result,
+    store_result,
+)
 from ..service.fingerprint import job_fingerprint
 from ..service.job import JobResult, JobStatus, VerificationJob
 from ..telemetry import METRICS, TRACER, request_scope
@@ -179,7 +184,7 @@ class CompiledStore:
 
 
 class WarmVerifierPool:
-    """Worker threads with long-lived sessions over shared warm state.
+    """Worker threads checking over shared warm state.
 
     Parameters
     ----------
@@ -192,15 +197,12 @@ class WarmVerifierPool:
         after) every executed check; ``None`` disables verdict caching.
     compiled_entries:
         Bound of the shared :class:`CompiledStore`.
-    session_entries:
-        Per-thread bound of each session's compile cache (belt on top of the
-        shared store, for `Program`-identity keys).
     default_timeout:
         Wall-clock budget applied to jobs that carry none of their own.
     persist_dir:
         Directory of the persistent Presburger op-cache
         (:mod:`repro.presburger.persist`).  All worker threads share the
-        process-wide opcache, so one attach here warms every session — and
+        process-wide opcache, so one attach here warms every thread — and
         a daemon restart starts warm from disk instead of re-deriving the
         relation algebra cold.
     """
@@ -210,7 +212,6 @@ class WarmVerifierPool:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         compiled_entries: int = 512,
-        session_entries: int = 64,
         default_timeout: Optional[float] = None,
         backend: Optional[str] = None,
         smt_solver: Optional[str] = None,
@@ -219,14 +220,11 @@ class WarmVerifierPool:
         self.workers = max(1, int(workers))
         self.cache = cache
         self.compiled = CompiledStore(compiled_entries)
-        self.session_entries = session_entries
         self.default_timeout = default_timeout
         self.backend = backend
         self.smt_solver = smt_solver
         self.persist_dir = persist_dir
         if persist_dir:
-            from ..presburger import opcache
-
             opcache.attach_persistent(persist_dir)
         self.stats = ServerStats()
         self.solver_queries: Dict[str, int] = {}
@@ -234,19 +232,12 @@ class WarmVerifierPool:
         self._threads = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="eqcheck-server"
         )
-        self._local = threading.local()
-        self._generation = 0
-        self._lock = threading.Lock()
+        # One session for every thread: it only ever sees CompiledProgram
+        # values from the shared store (which compile() returns unchanged)
+        # plus explicit options, so checking changes none of its state.
+        self._verifier = Verifier()
 
     # ------------------------------------------------------------------ #
-    def _session(self) -> Verifier:
-        """This worker thread's long-lived session (rebuilt after a reset)."""
-        entry = getattr(self._local, "entry", None)
-        if entry is None or entry[0] != self._generation:
-            entry = (self._generation, Verifier(max_cache_entries=self.session_entries))
-            self._local.entry = entry
-        return entry[1]
-
     def prepare_job(self, job: VerificationJob) -> VerificationJob:
         """Apply the server's decision-backend default to *job*.
 
@@ -268,14 +259,6 @@ class WarmVerifierPool:
         )
         return dataclasses.replace(job, options=options)
 
-    def effective_timeout(self, job: VerificationJob, timeout: Optional[float]) -> Optional[float]:
-        """The budget this job would actually run under (the dedup key part)."""
-        if job.options is not None and job.options.timeout is not None:
-            return job.options.timeout
-        if timeout is not None:
-            return timeout
-        return self.default_timeout
-
     def run_job(
         self,
         job: VerificationJob,
@@ -286,9 +269,8 @@ class WarmVerifierPool:
     ) -> JobResult:
         """Execute one job warm, synchronously, in the calling thread.
 
-        Cache front first; a miss runs the check through this thread's
-        session over the shared compiled store, with the job's effective
-        budget enforced by the signal-free timeout path.  Designed to be
+        Cache front first; a miss checks the job's programs from the shared
+        compiled store, under the job's effective budget.  Designed to be
         called from the pool's worker threads (via :meth:`submit`) but safe
         from any thread, including the main one.
 
@@ -308,32 +290,21 @@ class WarmVerifierPool:
             # callers that already fingerprinted — the dispatcher does, for
             # its dedup key — pass it down instead of paying again.
             fingerprint = job_fingerprint(job)
-        cached = self.cache.get(fingerprint) if self.cache is not None else None
+        cached = cached_result(self.cache, job, fingerprint)
         if cached is not None:
             self.stats.inc("cache_hits")
             METRICS.inc("server.cache_hits")
-            return JobResult(
-                name=job.name,
-                status=JobStatus.OK,
-                equivalent=cached.equivalent,
-                expected_equivalent=job.expected_equivalent,
-                elapsed_seconds=0.0,
-                cache_hit=True,
-                fingerprint=fingerprint,
-                result=cached,
-                metadata=dict(job.metadata),
-            )
+            return cached
 
         def warm_run():
-            session = self._session()
             with request_scope(request_id):
                 original = self.compiled.get_or_compile(job.original_source)
                 transformed = self.compiled.get_or_compile(job.transformed_source)
-                return session.check(original, transformed, options=job.options)
+                return self._verifier.check(original, transformed, options=job.options)
 
         mark = TRACER.mark() if collect_spans and TRACER.enabled else None
         outcome = execute_job(
-            job, self.effective_timeout(job, timeout), fingerprint, run=warm_run
+            job, effective_timeout(job, timeout, self.default_timeout), fingerprint, run=warm_run
         )
         if mark is not None:
             tid = threading.get_ident()
@@ -352,11 +323,7 @@ class WarmVerifierPool:
         elif outcome.status == JobStatus.ERROR:
             self.stats.inc("errors")
             METRICS.inc("server.check_errors")
-        elif self.cache is not None and outcome.result is not None:
-            try:
-                self.cache.put(fingerprint, outcome.result)
-            except OSError:
-                self.cache.stats.store_errors += 1
+        store_result(self.cache, outcome)
         if outcome.result is not None and outcome.result.stats.solver_queries:
             with self._solver_lock:
                 for kind, count in outcome.result.stats.solver_queries.items():
@@ -378,24 +345,16 @@ class WarmVerifierPool:
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Drop every piece of warm state (verdict cache, artifacts, sessions).
-
-        Existing worker threads lazily rebuild their sessions on the next
-        job (generation check), so no thread coordination is needed; a check
-        running concurrently with the reset keeps its old session for that
-        one job, which is safe — sessions only cache frontend artifacts.
-        """
-        with self._lock:
-            self._generation += 1
-            self.compiled.clear()
-            if self.cache is not None:
-                self.cache.clear()
-            self.stats.inc("resets")
+        """Drop every piece of warm state (verdict cache, compiled artifacts)."""
+        self.compiled.clear()
+        if self.cache is not None:
+            self.cache.clear()
+        self.stats.inc("resets")
 
     def snapshot(self) -> Dict[str, Any]:
         """The warm-state half of the ``stats`` RPC payload.
 
-        Counters plus pool/session/compiled-store occupancy, verdict-cache
+        Counters plus pool/compiled-store occupancy, verdict-cache
         hit rates, the process-wide Presburger opcache (memory + disk tier)
         and the accumulated per-kind solver-backend query counts.  The
         daemon layers its own serving-side fields on top — see
@@ -407,7 +366,6 @@ class WarmVerifierPool:
         payload["compiled_store"] = self.compiled.stats()
         payload["verdict_cache"] = self.cache.stats.as_dict() if self.cache is not None else None
         payload["workers"] = self.workers
-        payload["session_entries"] = self.session_entries
         payload["opcache"] = opcache.stats().as_dict()
         store = opcache.persistent_store()
         payload["persist"] = {
@@ -453,15 +411,14 @@ class JobDispatcher:
         job = self.pool.prepare_job(job)
         if fingerprint is None:
             fingerprint = job_fingerprint(job)
-        key = (fingerprint, self.pool.effective_timeout(job, timeout))
+        key = dedup_key(job, fingerprint, timeout, self.pool.default_timeout)
         leader = self._inflight.get(key)
         if leader is not None:
             self.pool.stats.inc("dedup_hits")
             METRICS.inc("server.dedup_hits")
             # shield(): a follower whose client vanished must not cancel the
             # leader out from under every other waiter.
-            outcome = await asyncio.shield(leader)
-            return self._follower_result(job, outcome)
+            return follower_result(job, await asyncio.shield(leader))
 
         async def lead() -> JobResult:
             return await asyncio.wrap_future(
@@ -472,21 +429,3 @@ class JobDispatcher:
         self._inflight[key] = task
         task.add_done_callback(lambda _t: self._inflight.pop(key, None))
         return await asyncio.shield(task)
-
-    @staticmethod
-    def _follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:
-        # Mirrors the in-batch fan-out of BatchExecutor._record: the verdict
-        # (or failure) is inherited at zero cost and not counted as a cache
-        # hit, so dedup reuse never inflates the reported hit rate.
-        return JobResult(
-            name=job.name,
-            status=outcome.status,
-            equivalent=outcome.equivalent,
-            expected_equivalent=job.expected_equivalent,
-            elapsed_seconds=0.0,
-            cache_hit=False,
-            fingerprint=outcome.fingerprint,
-            result=outcome.result,
-            error=outcome.error,
-            metadata={**job.metadata, "deduplicated": True},
-        )

@@ -40,7 +40,7 @@ Methods (see ``docs/server.md`` for the full schema):
     "content_type": ..., "text": ...}`` in exposition format 0.0.4 instead;
     ``params.slow: true`` embeds the captured slow-request records.
 ``reset``
-    Drop all warm state: verdict cache, compiled artifacts, sessions.
+    Drop all warm state: verdict cache and compiled artifacts.
 ``shutdown``
     Ask the server to drain and exit (same path as ``SIGTERM``).
 

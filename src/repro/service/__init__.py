@@ -15,9 +15,10 @@ Module tour
 * :mod:`~repro.service.fingerprint` — content-addressed job fingerprints
   over normalised sources, the cache key;
 * :mod:`~repro.service.cache` — the on-disk verdict cache with an LRU front;
-* :mod:`~repro.service.executor` — :class:`BatchExecutor`: in-batch
-  deduplication, process pool, per-job timeouts (``SIGALRM`` on the main
-  thread, a signal-free watchdog elsewhere — see :func:`call_with_timeout`);
+* :mod:`~repro.service.executor` — how one job is run (budget, cache front
+  and store, dedup key, follower fan-out, watchdog timeout — the rules the
+  verification server shares) and :class:`BatchExecutor`: in-batch
+  deduplication over a process pool;
 * :mod:`~repro.service.corpus` — turns the repo's workloads (kernels,
   generated pairs, mutated buggy pairs) into labelled job lists;
 * :mod:`~repro.service.report` — JSONL report writing/reading and the batch

@@ -1,23 +1,39 @@
-"""Batch execution of verification jobs: cache front, process pool, timeouts.
+"""How a verification job is run, for ``batch`` and ``serve`` alike.
 
-The executor runs a sequence of :class:`~repro.service.job.VerificationJob`
-values and returns one :class:`~repro.service.job.JobResult` per job, in the
-input order.  Before any work is dispatched, every job is looked up in the
-result cache; only misses are executed — serially for ``workers <= 1`` (no
-pickling, easiest to debug) or on a ``ProcessPoolExecutor`` otherwise.
+This module is the one place that knows how a
+:class:`~repro.service.job.VerificationJob` becomes a
+:class:`~repro.service.job.JobResult`.  The rules are small functions that
+both job runners call — :class:`BatchExecutor` here and the verification
+server's :class:`~repro.server.pool.WarmVerifierPool` /
+:class:`~repro.server.pool.JobDispatcher`:
 
-Timeouts are enforced *inside* the executing process (the checker is pure
+* :func:`effective_timeout` — the job's own ``options.timeout`` first, then
+  the caller's budget, then the runner's default;
+* :func:`cached_result` — the verdict-cache front (a hit costs no check);
+* :func:`store_result` — store an OK verdict; a failing store (full disk,
+  read-only directory) is counted in ``store_errors``, never raised;
+* :func:`dedup_key` — ``(fingerprint, effective timeout)``: identical jobs
+  under the same budget run once;
+* :func:`follower_result` — a duplicate inherits its leader's outcome,
+  marked ``deduplicated`` and not as a cache hit;
+* :func:`execute_job` — run one check under its budget, capturing failure.
+
+:class:`BatchExecutor` runs a sequence of jobs and returns one result per
+job, in the input order.  Every job is looked up in the result cache first;
+only misses are executed — serially for ``workers <= 1`` (no pickling,
+easiest to debug) or on a ``ProcessPoolExecutor`` otherwise.
+
+Timeouts are enforced *inside* the executing thread (the checker is pure
 Python, so there is no portable way to interrupt it from the outside without
-killing the worker).  The general mechanism is the signal-free watchdog
-shipped with the verification server: a timer thread that raises
-:class:`JobTimeoutError` into the executing thread at the next bytecode
-boundary, so any number of threads can carry independent budgets.  The main
-thread of a POSIX process keeps the classic ``SIGALRM`` fast path — same
-semantics, delivered by the interpreter's signal machinery instead of a
-watchdog thread (see :func:`call_with_timeout` for the dispatch).  A job
-that exceeds its budget yields a ``timeout`` result instead of poisoning
-the pool.  Any exception a job raises is captured into an ``error`` result
-with its traceback — one bad program never aborts the batch.  Two alarms
+killing the worker): :func:`call_with_timeout` starts a watchdog timer that
+raises :class:`JobTimeoutError` into the executing thread at the next
+bytecode boundary, on the main thread and on worker threads alike, so any
+number of threads can carry independent budgets (an external solver
+process, which blocks out of the watchdog's reach, bounds its own wait by
+the budget — see :mod:`repro.budget`).  A job that exceeds its
+budget yields a ``timeout`` result instead of poisoning the pool.  Any
+exception a job raises is captured into an ``error`` result with its
+traceback — one bad program never aborts the batch.  Two alarms
 deliberately pierce that capture as ``BaseException``: the timeout itself,
 and :class:`~repro.solvers.BackendDisagreement` from a cross-checked run,
 which is recorded as an ``error`` result carrying the serialized query.
@@ -32,123 +48,191 @@ per-job share of that activity travels back inside the job's
 from __future__ import annotations
 
 import ctypes
-import signal
 import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
+from .. import budget as _budget
+from ..budget import JobTimeoutError
 from ..solvers.base import BackendDisagreement
 from ..telemetry import METRICS as _METRICS, TRACER as _TRACER
 from .cache import ResultCache
 from .fingerprint import job_fingerprint
 from .job import JobResult, JobStatus, VerificationJob
 
-__all__ = ["BatchExecutor", "JobTimeoutError", "call_with_timeout", "execute_job"]
-
-
-class JobTimeoutError(BaseException):
-    # BaseException, not Exception: the checker (e.g. the presburger closure
-    # heuristics) uses broad `except Exception` internally, which must not
-    # swallow the timeout and let a job run past its budget.
-    pass
-
-
-# Alias from the SIGALRM-only era, when the timeout type was private to
-# this module; kept for callers that imported the old spelling.
-_JobTimeout = JobTimeoutError
-
-
-def _alarm_handler(signum, frame):
-    raise JobTimeoutError()
-
-
-def _call_with_alarm(fn: Callable[[], Any], timeout: float):
-    """The main-thread POSIX path: an ``ITIMER_REAL`` alarm interrupts *fn*."""
-    previous = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    # The result is captured into a list so that an alarm delivered in the
-    # narrow window after fn() returns (but before the timer is cleared)
-    # does not discard a verdict that was actually computed in time.
-    outcome = []
-    try:
-        try:
-            outcome.append(fn())
-        except JobTimeoutError:
-            pass
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    if outcome:
-        return outcome[0]
-    raise JobTimeoutError()
-
-
-def _call_with_watchdog(fn: Callable[[], Any], timeout: float):
-    """The signal-free path: a watchdog thread raises into the caller.
-
-    ``SIGALRM`` is main-thread-only (and POSIX-only), so worker threads — the
-    verification server's execution path — use a :class:`threading.Timer`
-    that delivers :class:`JobTimeoutError` into the executing thread with
-    ``PyThreadState_SetAsyncExc``.  Like the alarm, the exception surfaces at
-    the next bytecode boundary, which is exactly the granularity the pure-
-    Python checker needs; unlike the alarm, any number of threads can carry
-    independent budgets concurrently.
-    """
-    target = threading.get_ident()
-    fired = threading.Event()
-
-    def interrupt() -> None:
-        fired.set()
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(target), ctypes.py_object(JobTimeoutError)
-        )
-
-    timer = threading.Timer(timeout, interrupt)
-    timer.daemon = True
-    outcome = []
-    timer.start()
-    try:
-        try:
-            try:
-                outcome.append(fn())
-            except JobTimeoutError:
-                pass
-        finally:
-            timer.cancel()
-            if fired.is_set():
-                # The async exception may still be pending delivery (the timer
-                # fired after fn() returned); clearing it stops it surfacing
-                # at some arbitrary later bytecode of this thread.
-                ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(target), None)
-    except JobTimeoutError:
-        # Delivered in the cleanup window above; the computed result (if any)
-        # still wins, exactly like the alarm path's list capture.
-        pass
-    if outcome:
-        return outcome[0]
-    raise JobTimeoutError()
+__all__ = [
+    "BatchExecutor",
+    "JobTimeoutError",
+    "cached_result",
+    "call_with_timeout",
+    "dedup_key",
+    "effective_timeout",
+    "execute_job",
+    "follower_result",
+    "store_result",
+]
 
 
 def call_with_timeout(fn: Callable[[], Any], timeout: Optional[float]):
     """Call ``fn()``, raising :class:`JobTimeoutError` past *timeout* seconds.
 
-    Dispatches to ``SIGALRM`` on the main thread of a POSIX process and to
-    the signal-free watchdog everywhere else, so callers get an enforced
-    budget regardless of which thread (or platform) they run on.  ``None``
-    or a non-positive *timeout* runs *fn* without a budget.
+    A watchdog thread delivers :class:`JobTimeoutError` into the calling
+    thread with ``PyThreadState_SetAsyncExc``.  The exception surfaces at
+    the next bytecode boundary, which is exactly the granularity the
+    pure-Python checker needs, and any number of threads can carry
+    independent budgets.  The budget counts from the moment ``fn()`` starts,
+    and the watchdog only fires while it runs, so a slow thread start never
+    interrupts the caller before or after the call.  The deadline is also
+    recorded in :mod:`repro.budget` for the one call the watchdog cannot
+    cut, an external solver process.  ``None`` or a non-positive *timeout*
+    runs *fn* without a budget.
     """
     if timeout is None or timeout <= 0:
         return fn()
-    if hasattr(signal, "SIGALRM") and threading.current_thread() is threading.main_thread():
-        return _call_with_alarm(fn, timeout)
-    return _call_with_watchdog(fn, timeout)
+    target = threading.get_ident()
+    started = threading.Event()
+    finished = threading.Event()
+    guard = threading.Lock()
+    fired = []
+
+    def watchdog() -> None:
+        started.wait()
+        # The deadline was fixed by the caller: the time this thread waited
+        # for the GIL after the start counts against the budget.
+        if finished.wait(deadline - time.monotonic()):
+            return
+        with guard:
+            if not finished.is_set():
+                fired.append(True)
+                ctypes.pythonapi.PyThreadState_SetAsyncExc(
+                    ctypes.c_ulong(target), ctypes.py_object(JobTimeoutError)
+                )
+
+    threading.Thread(target=watchdog, name="eqcheck-watchdog", daemon=True).start()
+    # The result is captured into a list so that a timeout delivered in the
+    # narrow window after fn() returns (but before the watchdog is disarmed)
+    # does not discard a verdict that was actually computed in time.
+    outcome = []
+    deadline = time.monotonic() + timeout
+    previous = _budget.set_deadline(deadline)
+    try:
+        try:
+            started.set()
+            outcome.append(fn())
+        except JobTimeoutError:
+            pass
+        finally:
+            with guard:
+                finished.set()
+            if fired:
+                # The async exception may still be pending delivery (it was
+                # sent after fn() returned); clearing it stops it surfacing
+                # at some arbitrary later bytecode of this thread.
+                ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(target), None)
+    except JobTimeoutError:
+        # Delivered in the cleanup window above; the computed result (if any)
+        # still wins.
+        pass
+    finally:
+        # Past the disarmed watchdog: nothing can interrupt the restore.
+        _budget.set_deadline(previous)
+    if outcome:
+        return outcome[0]
+    raise JobTimeoutError()
 
 
-def _run_with_timeout(job: VerificationJob, timeout: Optional[float]):
-    """Run the job's check under :func:`call_with_timeout`."""
-    return call_with_timeout(job.run, timeout)
+# --------------------------------------------------------------------------- #
+# The job-running rules shared by BatchExecutor and the verification server
+# --------------------------------------------------------------------------- #
+def effective_timeout(
+    job: VerificationJob, timeout: Optional[float] = None, default: Optional[float] = None
+) -> Optional[float]:
+    """The budget *job* runs under.
+
+    The job's own ``options.timeout`` wins; then the caller's *timeout*
+    (a request's budget); then the runner's *default*.
+    """
+    if job.options is not None and job.options.timeout is not None:
+        return job.options.timeout
+    return timeout if timeout is not None else default
+
+
+def dedup_key(
+    job: VerificationJob,
+    fingerprint: str,
+    timeout: Optional[float] = None,
+    default: Optional[float] = None,
+) -> Tuple[str, Optional[float]]:
+    """The key under which identical jobs share one execution.
+
+    The fingerprint (which excludes the budget) plus the job's
+    :func:`effective_timeout`: a TIMEOUT outcome is budget-dependent, so it
+    must never fan out to a duplicate running under a different budget.
+    """
+    return (fingerprint, effective_timeout(job, timeout, default))
+
+
+def cached_result(
+    cache: Optional[ResultCache], job: VerificationJob, fingerprint: str
+) -> Optional[JobResult]:
+    """*job*'s result served from the verdict cache, or ``None`` on a miss."""
+    cached = cache.get(fingerprint) if cache is not None else None
+    if cached is None:
+        return None
+    return JobResult(
+        name=job.name,
+        status=JobStatus.OK,
+        equivalent=cached.equivalent,
+        expected_equivalent=job.expected_equivalent,
+        elapsed_seconds=0.0,
+        cache_hit=True,
+        fingerprint=fingerprint,
+        result=cached,
+        metadata=dict(job.metadata),
+    )
+
+
+def store_result(cache: Optional[ResultCache], outcome: JobResult) -> None:
+    """Store an executed OK verdict in the verdict cache.
+
+    Caching is an optimization: a full disk or read-only cache directory
+    must not discard computed verdicts, so an ``OSError`` only counts a
+    ``store_errors``.
+    """
+    if (
+        cache is None
+        or outcome.status != JobStatus.OK
+        or outcome.result is None
+        or outcome.cache_hit
+    ):
+        return
+    try:
+        cache.put(outcome.fingerprint, outcome.result)
+    except OSError:
+        cache.stats.store_errors += 1
+
+
+def follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:
+    """A duplicate *job*'s result, inherited from its leader's *outcome*.
+
+    The verdict (or failure) is reused at zero cost and not marked as a
+    cache hit: dedup reuse works with caching disabled and must not inflate
+    the reported hit rate.
+    """
+    return JobResult(
+        name=job.name,
+        status=outcome.status,
+        equivalent=outcome.equivalent,
+        expected_equivalent=job.expected_equivalent,
+        elapsed_seconds=0.0,
+        cache_hit=False,
+        fingerprint=outcome.fingerprint,
+        result=outcome.result,
+        error=outcome.error,
+        metadata={**job.metadata, "deduplicated": True},
+    )
 
 
 def _worker_init(collect_telemetry: bool, persist_dir: Optional[str] = None) -> None:
@@ -192,12 +276,11 @@ def execute_job(
     executor while tracing is on in the parent) the job's spans and metric
     increments are drained into ``JobResult.telemetry`` for the parent
     process to ingest.  *run* replaces ``job.run`` as the zero-argument check
-    body — the verification server passes a warm-session closure here so the
+    body — the verification server passes a warm-check closure here so the
     status/timeout/error capture stays identical between the cold and the
     warm paths.
     """
-    if job.options is not None and job.options.timeout is not None:
-        timeout = job.options.timeout
+    timeout = effective_timeout(job, timeout)
     if not (collect_telemetry or _TRACER.enabled):
         return _execute_job_body(job, timeout, fingerprint, run)
     mark = _TRACER.mark()
@@ -305,7 +388,7 @@ class BatchExecutor:
 
             opcache.attach_persistent(persist_dir)
         # index of an executing job -> indices of its in-batch duplicates
-        # (same fingerprint); rebuilt by every run() call.
+        # (same dedup key); rebuilt by every run() call.
         self._followers: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -322,19 +405,8 @@ class BatchExecutor:
 
         for index, job in enumerate(jobs):
             fingerprint = fingerprints[index] = job_fingerprint(job)
-            cached = self.cache.get(fingerprint) if self.cache is not None else None
-            if cached is not None:
-                outcome = JobResult(
-                    name=job.name,
-                    status=JobStatus.OK,
-                    equivalent=cached.equivalent,
-                    expected_equivalent=job.expected_equivalent,
-                    elapsed_seconds=0.0,
-                    cache_hit=True,
-                    fingerprint=fingerprint,
-                    result=cached,
-                    metadata=dict(job.metadata),
-                )
+            outcome = cached_result(self.cache, job, fingerprint)
+            if outcome is not None:
                 results[index] = outcome
                 if progress is not None:
                     progress(outcome)
@@ -343,18 +415,12 @@ class BatchExecutor:
 
         # Deduplicate identical jobs within the batch: only the first index
         # per key is executed; the rest are fanned out from its result, so
-        # duplicate pairs cost one check instead of many.  The key includes
-        # the per-job timeout on top of the fingerprint (which excludes it):
-        # a TIMEOUT outcome is budget-dependent, so it must never fan out to
-        # a duplicate running under a different budget.
+        # duplicate pairs cost one check instead of many.
         leader_of: dict = {}
         self._followers = {}
         leaders: List[int] = []
         for index in pending:
-            job = jobs[index]
-            job_timeout = job.options.timeout if job.options is not None else None
-            effective_timeout = job_timeout if job_timeout is not None else self.timeout
-            key = (fingerprints[index], effective_timeout)
+            key = dedup_key(jobs[index], fingerprints[index], self.timeout)
             if key in leader_of:
                 self._followers.setdefault(leader_of[key], []).append(index)
             else:
@@ -385,38 +451,12 @@ class BatchExecutor:
             _TRACER.ingest(outcome.telemetry.get("spans", ()))
             _METRICS.merge(outcome.telemetry.get("metrics", ()))
             outcome.telemetry = None
-        if (
-            self.cache is not None
-            and outcome.status == JobStatus.OK
-            and outcome.result is not None
-            and not outcome.cache_hit
-        ):
-            try:
-                self.cache.put(outcome.fingerprint, outcome.result)
-            except OSError:
-                # Caching is an optimization: a full disk or read-only cache
-                # directory must not discard the batch's computed verdicts.
-                self.cache.stats.store_errors += 1
+        store_result(self.cache, outcome)
         if progress is not None:
             progress(outcome)
-        # Fan the leader's outcome out to in-batch duplicates (same
-        # fingerprint): they inherit the verdict (or failure) at zero cost.
-        # Not marked cache_hit — dedup reuse works with caching disabled and
-        # must not inflate the reported hit rate.
+        # Fan the leader's outcome out to its in-batch duplicates.
         for follower_index in self._followers.pop(index, ()):
-            job = jobs[follower_index]
-            derived = JobResult(
-                name=job.name,
-                status=outcome.status,
-                equivalent=outcome.equivalent,
-                expected_equivalent=job.expected_equivalent,
-                elapsed_seconds=0.0,
-                cache_hit=False,
-                fingerprint=outcome.fingerprint,
-                result=outcome.result,
-                error=outcome.error,
-                metadata={**job.metadata, "deduplicated": True},
-            )
+            derived = follower_result(jobs[follower_index], outcome)
             results[follower_index] = derived
             if progress is not None:
                 progress(derived)

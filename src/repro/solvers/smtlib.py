@@ -32,6 +32,7 @@ import subprocess
 import tempfile
 from typing import Any, List, Optional, Sequence, Tuple
 
+from .. import budget as _budget
 from ..presburger import opcache as _opcache
 from ..presburger.conjunct import Conjunct
 
@@ -177,18 +178,24 @@ def resolve_solver_command(spec: Optional[str] = None) -> str:
 
 
 def _run_solver(command: str, script: str) -> str:
-    """Feed *script* to the solver binary and return its stdout."""
+    """Feed *script* to the solver binary and return its stdout.
+
+    The wait is bounded by what is left of the calling job's budget
+    (:mod:`repro.budget`): a job timeout cannot interrupt a blocked
+    ``subprocess`` call, so the call times out itself and reports it.
+    """
     argv = command.split()
     with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as handle:
         handle.write(script)
         path = handle.name
     try:
         completed = subprocess.run(
-            argv + [path], capture_output=True, text=True, timeout=300
+            argv + [path], capture_output=True, text=True, timeout=_budget.remaining(300)
         )
     except FileNotFoundError as error:
         raise SolverUnavailableError(f"solver binary not found: {argv[0]!r}") from error
     except subprocess.TimeoutExpired as error:
+        _budget.check()
         raise SolverError(f"solver {argv[0]!r} timed out") from error
     finally:
         try:

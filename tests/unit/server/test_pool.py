@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.server.pool import CompiledStore, JobDispatcher, WarmVerifierPool
 from repro.service import JobStatus, ResultCache, VerificationJob, job_fingerprint
+from repro.service.executor import effective_timeout
 from repro.service.job import JobResult
 from repro.verifier import Verifier
 
@@ -144,13 +145,10 @@ class TestWarmVerifierPool:
             pool.close()
 
     def test_effective_timeout_precedence(self):
-        pool = WarmVerifierPool(workers=1, default_timeout=30.0)
-        try:
-            assert pool.effective_timeout(make_job(timeout=5.0), 10.0) == 5.0
-            assert pool.effective_timeout(make_job(), 10.0) == 10.0
-            assert pool.effective_timeout(make_job(), None) == 30.0
-        finally:
-            pool.close()
+        assert effective_timeout(make_job(timeout=5.0), 10.0, 30.0) == 5.0
+        assert effective_timeout(make_job(), 10.0, 30.0) == 10.0
+        assert effective_timeout(make_job(), None, 30.0) == 30.0
+        assert effective_timeout(make_job(), None) is None
 
     def test_snapshot_carries_warm_state_blocks(self):
         pool = WarmVerifierPool(workers=2, cache=ResultCache())
@@ -295,24 +293,14 @@ class TestDedupKeyProperty:
         a = make_job(name="a", timeout=job_a)
         b = make_job(name="b", timeout=job_b)
         executions, results = run_pair_through_dispatcher(a, request_a, b, request_b)
-        reference = WarmVerifierPool(workers=1)
-        try:
-            should_coalesce = reference.effective_timeout(
-                a, request_a
-            ) == reference.effective_timeout(b, request_b)
-        finally:
-            reference.close()
+        should_coalesce = effective_timeout(a, request_a) == effective_timeout(b, request_b)
         assert len(executions) == (1 if should_coalesce else 2)
         assert all(outcome.status == JobStatus.OK for outcome in results)
 
     @settings(max_examples=25, deadline=None)
     @given(job_timeout=BUDGETS, request_timeout=BUDGETS, default=BUDGETS)
     def test_effective_timeout_precedence_property(self, job_timeout, request_timeout, default):
-        pool = WarmVerifierPool(workers=1, default_timeout=default)
-        try:
-            effective = pool.effective_timeout(make_job(timeout=job_timeout), request_timeout)
-        finally:
-            pool.close()
+        effective = effective_timeout(make_job(timeout=job_timeout), request_timeout, default)
         if job_timeout is not None:
             assert effective == job_timeout
         elif request_timeout is not None:

@@ -3,14 +3,14 @@
 The historical executor enforced budgets with ``SIGALRM`` only, which is
 POSIX- and main-thread-only — a latent portability bug that became load-
 bearing with the verification server, whose checks always run on worker
-threads.  :func:`repro.service.call_with_timeout` now dispatches to a
-signal-free watchdog (``PyThreadState_SetAsyncExc``) whenever ``SIGALRM``
-is unavailable, so these tests drive every path from a non-main thread.
+threads.  :func:`repro.service.call_with_timeout` now uses one signal-free
+watchdog (``PyThreadState_SetAsyncExc``) on every thread, so these tests
+drive it from non-main threads and from the main thread.
 
-The watchdog delivers between Python bytecodes (the same granularity as
-the alarm), so the stand-in workloads are pure-Python busy loops — a
-blocking C call like ``time.sleep`` is not interruptible on this path and
-is exactly what the real checker never does.
+The watchdog delivers between Python bytecodes, so the stand-in workloads
+are pure-Python busy loops — a blocking C call like ``time.sleep`` is not
+interruptible on this path.  The checker's one blocking call, an external
+solver process, bounds its own wait by the budget instead.
 """
 
 import threading
@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import budget
 from repro.service import (
     BatchExecutor,
     JobStatus,
@@ -123,6 +124,17 @@ class TestCallWithTimeout:
         assert outcomes["short"] == "timeout"
         assert isinstance(outcomes["long"], int)
 
+    def test_deadline_does_not_outlive_the_call(self):
+        def fail():
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            call_with_timeout(fail, 5.0)
+        with pytest.raises(JobTimeoutError):
+            call_with_timeout(busy_loop, 0.2)
+        assert call_with_timeout(lambda: 42, 5.0) == 42
+        assert budget.remaining(300.0) == 300.0
+
     def test_main_thread_path_still_enforces(self):
         with pytest.raises(JobTimeoutError):
             call_with_timeout(busy_loop, 0.2)
@@ -155,3 +167,28 @@ class TestBatchExecutorOffMainThread:
         executor = BatchExecutor(workers=1, timeout=0.2)
         results = in_thread(lambda: executor.run([make_job()]))
         assert [outcome.status for outcome in results] == [JobStatus.TIMEOUT]
+
+
+class TestBlockingSolverCall:
+    """An external solver blocks in a system call, where the watchdog cannot
+    reach; its wait is cut to the job's remaining budget instead."""
+
+    @pytest.fixture
+    def stuck_solver(self, tmp_path):
+        script = tmp_path / "stuck-solver"
+        script.write_text("#!/bin/sh\nexec sleep 30\n")
+        script.chmod(0o755)
+        return str(script)
+
+    def test_solver_wait_is_bounded_by_the_budget(self, stuck_solver):
+        job = VerificationJob(
+            name="stuck",
+            original_source=ORIGINAL,
+            transformed_source=ORIGINAL,
+            backend="smtlib",
+            smt_solver=stuck_solver,
+        )
+        started = time.monotonic()
+        outcome = execute_job(job, timeout=0.5)
+        assert outcome.status == JobStatus.TIMEOUT
+        assert time.monotonic() - started < 10
