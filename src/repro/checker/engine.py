@@ -12,7 +12,9 @@ This module implements the method of Section 5 of the paper:
   *flattening* (associative chains are collected across statements, reducing
   intermediate variables on the way) and *matching* (operands of commutative
   operators are paired using the output–input mappings when node labels are
-  not unique);
+  not unique; the pairing is a maximum bipartite matching whose trial
+  compares are evaluated on demand, and a trial comparison stops at the first
+  operand group that cannot be paired);
 * **tabling** of established equivalences so overlapping sub-ADDGs are not
   re-explored (Section 6.2), plus inductive assumptions for data-flow cycles
   (recurrences), whose soundness rests on the def-use order checked by
@@ -27,7 +29,7 @@ public entry point is :func:`repro.checker.api.check_equivalence`.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set as PySet, Tuple
 
 from ..presburger import Map, Set, SpaceMismatchError, opcache
 from ..presburger.errors import PresburgerError
@@ -812,15 +814,22 @@ class Engine:
             group2 = groups2[signature]
             if len(group1) == 1:
                 if not self.compare(group1[0], group2[0], trial, depth + 1):
+                    if trial:
+                        return False
                     ok = False
                     failing_pairs.append((group1[0], group2[0]))
                 continue
-            compatibility = [
-                [self.compare(a, b, True, depth + 1) for b in group2] for a in group1
-            ]
-            matching = _maximum_matching(compatibility)
+            # Trial compares are asked for only when the augmenting-path search
+            # reaches them; a cell it never reads cannot change the matching.
+            matching = _maximum_matching(
+                len(group1),
+                len(group2),
+                lambda row, col: self.compare(group1[row], group2[col], True, depth + 1),
+            )
             if len(matching) == len(group1):
                 continue
+            if trial:
+                return False
             ok = False
             matched_rows = {i for i, _ in matching}
             matched_cols = {j for _, j in matching}
@@ -903,15 +912,27 @@ class Engine:
             diagnostic.suspect_statements = tuple(sorted(statements))
 
 
-def _maximum_matching(compatibility: List[List[bool]]) -> List[Tuple[int, int]]:
-    """Maximum bipartite matching (Kuhn's algorithm) over a boolean matrix."""
-    rows = len(compatibility)
-    cols = len(compatibility[0]) if rows else 0
+def _maximum_matching(
+    rows: int, cols: int, compatible: Callable[[int, int], bool]
+) -> List[Tuple[int, int]]:
+    """Maximum bipartite matching (Kuhn's algorithm) over a lazily evaluated matrix.
+
+    ``compatible(row, col)`` is called only when the augmenting-path search
+    reaches that cell, and at most once per cell.  The search visits rows and
+    columns in index order, so the matching is the one the eager algorithm
+    finds on the fully evaluated matrix.
+    """
+    known: Dict[Tuple[int, int], bool] = {}
     match_for_col: List[Optional[int]] = [None] * cols
+
+    def cell(row: int, col: int) -> bool:
+        if (row, col) not in known:
+            known[row, col] = compatible(row, col)
+        return known[row, col]
 
     def try_augment(row: int, visited: List[bool]) -> bool:
         for col in range(cols):
-            if compatibility[row][col] and not visited[col]:
+            if not visited[col] and cell(row, col):
                 visited[col] = True
                 if match_for_col[col] is None or try_augment(match_for_col[col], visited):
                     match_for_col[col] = row

@@ -15,6 +15,11 @@ cache, and only the misses exercise (and warm) the operation cache.
 An in-memory LRU front (bounded, default 1024 entries) makes repeated hits
 within one batch run free of any filesystem traffic.  The cache can also run
 purely in memory (``directory=None``) for ephemeral runs and tests.
+
+One cache is shared by all worker threads of the verification server, so the
+LRU bookkeeping (lookup + ``move_to_end``, insert + ``popitem``) and the
+counters are updated under one lock.  The lock is taken only by ``with`` (a
+job timeout may land at any bytecode) and is never held across disk I/O.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -70,6 +76,7 @@ class ResultCache:
         self.memory_entries = max(0, memory_entries)
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, EquivalenceResult]" = OrderedDict()
+        self._lock = threading.Lock()
         if self.directory:
             os.makedirs(self.directory, exist_ok=True)
 
@@ -79,6 +86,7 @@ class ResultCache:
         return os.path.join(self.directory, fingerprint[:2], fingerprint + ".json")
 
     def _remember(self, fingerprint: str, result: EquivalenceResult) -> None:
+        """Insert into the memory LRU; the caller holds the lock."""
         if self.memory_entries == 0:
             return
         self._memory[fingerprint] = result
@@ -88,7 +96,8 @@ class ResultCache:
             self.stats.evictions += 1
 
     def _drop_corrupt(self, path: str) -> None:
-        self.stats.corrupt_entries += 1
+        with self._lock:
+            self.stats.corrupt_entries += 1
         try:
             os.remove(path)
         except OSError:
@@ -97,12 +106,13 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     def get(self, fingerprint: str) -> Optional[EquivalenceResult]:
         """The cached verdict for *fingerprint*, or ``None`` on a miss."""
-        cached = self._memory.get(fingerprint)
-        if cached is not None:
-            self._memory.move_to_end(fingerprint)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            return cached
+        with self._lock:
+            cached = self._memory.get(fingerprint)
+            if cached is not None:
+                self._memory.move_to_end(fingerprint)
+                self.stats.hits += 1
+                self.stats.memory_hits += 1
+                return cached
         if self.directory:
             path = self._path(fingerprint)
             try:
@@ -118,16 +128,19 @@ class ResultCache:
             except (OSError, ValueError, KeyError, TypeError):
                 self._drop_corrupt(path)
             else:
-                self._remember(fingerprint, result)
-                self.stats.hits += 1
+                with self._lock:
+                    self._remember(fingerprint, result)
+                    self.stats.hits += 1
                 return result
-        self.stats.misses += 1
+        with self._lock:
+            self.stats.misses += 1
         return None
 
     def put(self, fingerprint: str, result: EquivalenceResult) -> None:
         """Store a verdict under *fingerprint* (atomically on disk)."""
-        self._remember(fingerprint, result)
-        self.stats.stores += 1
+        with self._lock:
+            self._remember(fingerprint, result)
+            self.stats.stores += 1
         if not self.directory:
             return
         path = self._path(fingerprint)
@@ -149,6 +162,11 @@ class ResultCache:
                 pass
             raise
 
+    def count_store_error(self) -> None:
+        """Count a :meth:`put` whose disk write failed (the caller keeps going)."""
+        with self._lock:
+            self.stats.store_errors += 1
+
     def __contains__(self, fingerprint: str) -> bool:
         """Fast existence probe (no I/O beyond a stat).
 
@@ -156,14 +174,16 @@ class ResultCache:
         delete) as stale or corrupt — never use ``in`` to guarantee that a
         subsequent ``get`` returns a result.
         """
-        if fingerprint in self._memory:
-            return True
+        with self._lock:
+            if fingerprint in self._memory:
+                return True
         return bool(self.directory) and os.path.exists(self._path(fingerprint))
 
     def __len__(self) -> int:
         """The number of entries on disk (memory-only: entries in the LRU)."""
         if not self.directory:
-            return len(self._memory)
+            with self._lock:
+                return len(self._memory)
         count = 0
         for _root, _dirs, files in os.walk(self.directory):
             count += sum(1 for name in files if name.endswith(".json"))
@@ -171,7 +191,8 @@ class ResultCache:
 
     def clear(self) -> None:
         """Drop every entry (memory and disk)."""
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
         if self.directory:
             for root, _dirs, files in os.walk(self.directory):
                 for name in files:

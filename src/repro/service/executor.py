@@ -211,7 +211,7 @@ def store_result(cache: Optional[ResultCache], outcome: JobResult) -> None:
     try:
         cache.put(outcome.fingerprint, outcome.result)
     except OSError:
-        cache.stats.store_errors += 1
+        cache.count_store_error()
 
 
 def follower_result(job: VerificationJob, outcome: JobResult) -> JobResult:

@@ -1,12 +1,14 @@
 """Unit tests for internal helpers of the checker engine (terms, matching, tabling)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.addg import build_addg
 from repro.checker import default_registry
 from repro.checker.engine import Engine, Term, _maximum_matching
-from repro.presburger import Map, parse_map, parse_set
-from repro.workloads import fig1_program
+from repro.presburger import Map, opcache, parse_map, parse_set
+from repro.verifier import Verifier
+from repro.workloads import fig1_program, kernel_pair
 
 
 @pytest.fixture()
@@ -16,6 +18,41 @@ def engine():
     return Engine(original, transformed, registry=default_registry())
 
 
+def _lazy(matrix):
+    """A cell callback over a boolean matrix that records every cell it is asked for."""
+    asked = []
+
+    def compatible(row, col):
+        asked.append((row, col))
+        return matrix[row][col]
+
+    return compatible, asked
+
+
+def _match(matrix):
+    compatible, _ = _lazy(matrix)
+    return _maximum_matching(len(matrix), len(matrix[0]) if matrix else 0, compatible)
+
+
+def _eager_kuhn(matrix):
+    """Reference: Kuhn's algorithm over the fully evaluated matrix."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    match_for_col = [None] * cols
+
+    def try_augment(row, visited):
+        for col in range(cols):
+            if matrix[row][col] and not visited[col]:
+                visited[col] = True
+                if match_for_col[col] is None or try_augment(match_for_col[col], visited):
+                    match_for_col[col] = row
+                    return True
+        return False
+
+    for row in range(rows):
+        try_augment(row, [False] * cols)
+    return [(row, col) for col, row in enumerate(match_for_col) if row is not None]
+
+
 class TestMaximumMatching:
     def test_perfect_matching_found(self):
         compatibility = [
@@ -23,7 +60,7 @@ class TestMaximumMatching:
             [False, True, False],
             [False, False, True],
         ]
-        assert len(_maximum_matching(compatibility)) == 3
+        assert len(_match(compatibility)) == 3
 
     def test_augmenting_path_needed(self):
         # row 0 can take either column, row 1 only column 0: Kuhn must re-route.
@@ -31,7 +68,7 @@ class TestMaximumMatching:
             [True, True],
             [True, False],
         ]
-        matching = _maximum_matching(compatibility)
+        matching = _match(compatibility)
         assert len(matching) == 2
         assert dict((r, c) for r, c in matching) == {0: 1, 1: 0}
 
@@ -40,10 +77,68 @@ class TestMaximumMatching:
             [True, False],
             [True, False],
         ]
-        assert len(_maximum_matching(compatibility)) == 1
+        assert len(_match(compatibility)) == 1
 
     def test_empty_matrix(self):
-        assert _maximum_matching([]) == []
+        assert _match([]) == []
+
+    def test_identity_asks_only_the_cells_it_needs(self):
+        compatible, asked = _lazy([[row == col for col in range(4)] for row in range(4)])
+        assert len(_maximum_matching(4, 4, compatible)) == 4
+        # Row r stops at its diagonal cell: 1 + 2 + 3 + 4 cells, not 16.
+        assert len(asked) == 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=7).flatmap(
+            lambda rows: st.integers(min_value=0, max_value=7).flatmap(
+                lambda cols: st.lists(
+                    st.lists(st.booleans(), min_size=cols, max_size=cols),
+                    min_size=rows,
+                    max_size=rows,
+                ).map(lambda matrix: (matrix, cols))
+            )
+        )
+    )
+    def test_lazy_matches_eager_and_asks_each_cell_once(self, case):
+        matrix, cols = case
+        compatible, asked = _lazy(matrix)
+        assert _maximum_matching(len(matrix), cols, compatible) == _eager_kuhn(matrix)
+        assert len(asked) == len(set(asked))
+
+
+class TestLazyMatchingInChecks:
+    @staticmethod
+    def _operands(side):
+        # Two operands share the signature ("const", 1): a 2x2 matching group;
+        # the third forms a single-member group after it.
+        rel = Map.identity(("w0",), domain=parse_set("{ [k] : 0 <= k < 4 }"))
+        return [Term(Term.CONST, side, rel, (), value=value) for value in (1, 1, 2)]
+
+    @pytest.mark.parametrize("trial, expected_calls", [(True, 4), (False, 5)])
+    def test_trial_matching_stops_at_the_first_unpairable_group(
+        self, engine, monkeypatch, trial, expected_calls
+    ):
+        calls = []
+
+        def never_equal(first, second, trial=False, depth=0):
+            calls.append((first.value, second.value))
+            return False
+
+        monkeypatch.setattr(engine, "compare", never_equal)
+        assert not engine._match_terms(self._operands(0), self._operands(1), trial, 0)
+        # Kuhn asks each cell of the failing 2x2 group once; only a reporting
+        # comparison goes on to the next group for its diagnostics.
+        assert len(calls) == expected_calls
+        assert bool(engine.diagnostics) is not trial
+
+    def test_cold_conv2d_check_skips_unread_trial_compares(self):
+        # The eager 9x9 compatibility matrix of conv2d cost 244 compare calls.
+        opcache.reset()
+        pair = kernel_pair("conv2d")
+        result = Verifier().check(pair.original, pair.transformed)
+        assert result.equivalent
+        assert result.stats.compare_calls < 244
 
 
 class TestTerms:
